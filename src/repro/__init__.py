@@ -42,7 +42,7 @@ from .errors import (
     TransformError,
     ConvergenceError,
 )
-from .core.doconsider import doconsider, DoconsiderLoop, DoconsiderResult
+from .core.doconsider import doconsider, DoconsiderLoop
 from .core.transform import parallelize, parallelize_source, ParallelizedLoop
 from .core.inspector import Inspector, InspectionResult
 from .machine.costs import MachineCosts, MULTIMAX_320
@@ -119,7 +119,6 @@ __all__ = [
     "ConvergenceError",
     "doconsider",
     "DoconsiderLoop",
-    "DoconsiderResult",
     "parallelize",
     "parallelize_source",
     "ParallelizedLoop",

@@ -1,12 +1,12 @@
 """The ``doconsider`` construct — the paper's user-facing API.
 
 .. note::
-   **Legacy shim.**  ``doconsider`` and :class:`DoconsiderLoop` are
-   kept for compatibility and delegate to the canonical
-   :class:`repro.runtime.Runtime` /
-   :class:`~repro.runtime.session.CompiledLoop` API, which adds
-   pluggable strategy registries, unified execution backends and a
-   schedule cache.  New code should use ``repro.runtime`` directly::
+   **Legacy entry points.**  ``doconsider`` and :func:`DoconsiderLoop`
+   are thin functions over the canonical :class:`repro.runtime.Runtime`
+   API: :func:`DoconsiderLoop` returns a plain
+   :class:`~repro.runtime.session.CompiledLoop` and ``doconsider`` its
+   :class:`~repro.runtime.session.RunReport`.  New code should use
+   ``repro.runtime`` directly::
 
        rt = Runtime(nproc=2)
        loop = rt.compile(ia, executor="self", scheduler="local")
@@ -31,50 +31,40 @@ the recommendation matrix of the paper's Figure 1: the default is
 **self-execution with local scheduling** ("recommended: performance
 reasonably robust, low overhead for setup").
 
-:class:`DoconsiderLoop` separates inspection from execution so the
+:func:`DoconsiderLoop` separates inspection from execution so the
 inspector cost can be amortised over many executions, the way PCGPAK
 amortises one topological sort over all Krylov iterations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from ..errors import ValidationError
 from ..machine.costs import MachineCosts, MULTIMAX_320
-from ..machine.simulator import SimResult
-from ..runtime.registry import (
-    executor_registry,
-    partitioner_registry,
-    scheduler_registry,
-)
 from .executor import GenericLoopKernel, LoopKernel
-from .inspector import InspectionResult
 
-__all__ = ["doconsider", "DoconsiderLoop", "DoconsiderResult"]
-
-
-@dataclass
-class DoconsiderResult:
-    """Output of one ``doconsider`` execution."""
-
-    #: The kernel's numeric result.
-    x: np.ndarray
-    #: Simulated machine timing of this execution.
-    sim: SimResult
-    #: Inspector output (schedule, wavefronts, inspection costs).
-    inspection: InspectionResult
+__all__ = ["doconsider", "DoconsiderLoop"]
 
 
-class DoconsiderLoop:
+def DoconsiderLoop(
+    deps,
+    nproc: int,
+    *,
+    executor: str = "self",
+    scheduler: str = "local",
+    assignment: str = "wrapped",
+    balance: str = "wrapped",
+    costs: MachineCosts = MULTIMAX_320,
+):
     """A reorderable loop with its inspection amortised across runs.
 
-    Thin wrapper over :meth:`repro.runtime.Runtime.compile`; all
+    Compiles ``deps`` once on a serial :class:`~repro.runtime.Runtime`
+    without a schedule cache (one inspection per constructed loop) and
+    returns the :class:`~repro.runtime.session.CompiledLoop`:
+    ``loop(kernel)`` (or ``loop.run(kernel)``) executes on the serial
+    backend, ``loop(kernel, backend="threads")`` on real threads.  All
     strategy names are validated eagerly against the registries, so an
     unknown executor, scheduler or assignment fails here — with the
-    valid options enumerated — rather than deep inside the inspector.
+    valid options enumerated.
 
     Parameters
     ----------
@@ -101,60 +91,11 @@ class DoconsiderLoop:
     costs:
         Machine cost model.
     """
+    from ..runtime.session import Runtime  # deferred: import cycle
 
-    def __init__(
-        self,
-        deps,
-        nproc: int,
-        *,
-        executor: str = "self",
-        scheduler: str = "local",
-        assignment: str = "wrapped",
-        balance: str = "wrapped",
-        costs: MachineCosts = MULTIMAX_320,
-    ):
-        from ..runtime.session import Runtime  # deferred: import cycle
-
-        # Validate every strategy name up front (enumerated options).
-        executor_registry.validate(executor)
-        scheduler_registry.validate(scheduler)
-        partitioner_registry.validate(assignment)
-
-        self.executor_kind = executor
-        # One compile, no cross-call cache: the legacy API's contract
-        # is one inspection per constructed loop.
-        rt = Runtime(nproc=nproc, backend="serial", costs=costs, cache=None)
-        self._compiled = rt.compile(
-            deps, executor=executor, scheduler=scheduler,
-            assignment=assignment, balance=balance,
-        )
-        self.inspection = self._compiled.inspection
-        self._exec = self._compiled.executor
-
-    # ------------------------------------------------------------------
-    @property
-    def schedule(self):
-        return self.inspection.schedule
-
-    @property
-    def dep(self):
-        return self.inspection.dep
-
-    def run(self, kernel: LoopKernel, *, unit_work=None) -> DoconsiderResult:
-        """Execute the kernel and report numeric result + simulated time."""
-        report = self._compiled(kernel, backend="serial", unit_work=unit_work)
-        return DoconsiderResult(x=report.x, sim=report.sim,
-                                inspection=self.inspection)
-
-    def run_threaded(self, kernel: LoopKernel, *, timeout: float = 30.0) -> np.ndarray:
-        """Execute the kernel on real threads (correctness validation)."""
-        report = self._compiled(kernel, backend="threads", timeout=timeout,
-                                with_sim=False)
-        return report.x
-
-    def simulate(self, *, unit_work=None) -> SimResult:
-        """Timing only, without executing a kernel."""
-        return self._compiled.simulate(unit_work=unit_work)
+    rt = Runtime(nproc=nproc, backend="serial", costs=costs, cache=None)
+    return rt.compile(deps, executor=executor, scheduler=scheduler,
+                      assignment=assignment, balance=balance)
 
 
 def doconsider(
@@ -168,13 +109,15 @@ def doconsider(
     assignment: str = "wrapped",
     balance: str = "wrapped",
     costs: MachineCosts = MULTIMAX_320,
-) -> DoconsiderResult:
+):
     """One-shot ``doconsider``: inspect, schedule, execute, report.
 
     ``kernel_or_body`` is either a :class:`~repro.core.LoopKernel` or a
     plain callable ``body(i)`` (then ``n`` must be given).  All
     keyword strategies — including ``balance`` — are forwarded to
-    :class:`DoconsiderLoop`.
+    :func:`DoconsiderLoop`.  Returns the
+    :class:`~repro.runtime.session.RunReport` (``x``, ``sim``,
+    ``inspection``, …).
     """
     if isinstance(kernel_or_body, LoopKernel):
         kernel = kernel_or_body
@@ -187,4 +130,4 @@ def doconsider(
         executor=executor, scheduler=scheduler,
         assignment=assignment, balance=balance, costs=costs,
     )
-    return loop.run(kernel)
+    return loop(kernel)

@@ -69,6 +69,15 @@ class LoopKernel(ABC):
     def result(self) -> np.ndarray:
         """The loop's output after execution."""
 
+    def result_slots(self, elements: np.ndarray) -> np.ndarray:
+        """Positions in :meth:`result` of the written ``elements``.
+
+        Elements are numbered as the loop's access pattern numbers them
+        (what a speculative run restores from its checkpoint); a kernel
+        that stores its output in another order maps them here.
+        """
+        return elements
+
 
 class GenericLoopKernel(LoopKernel):
     """Wraps an arbitrary per-iteration callable.
@@ -172,14 +181,13 @@ class TriangularSolveKernel(LoopKernel):
         self.n = l.nrows
         self.l = l
         self.b = check_vector(b, self.n, "b")
-        rows = l.row_of_nnz()
-        self._strict = l.indices < rows
         if unit_diagonal:
             self.diag = np.ones(self.n)
         elif diag is not None:
             self.diag = check_vector(diag, self.n, "diag")
         else:
             self.diag = np.zeros(self.n)
+            rows = l.row_of_nnz()
             dm = l.indices == rows
             self.diag[rows[dm]] = l.data[dm]
         if np.any(self.diag == 0.0):
@@ -205,24 +213,10 @@ class TriangularSolveKernel(LoopKernel):
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size == 0:
             return
-        # Gather each row's strictly-lower entries; rows in a batch are
-        # independent, so every operand x[j] is already final.
-        starts = self.l.indptr[idx]
-        ends = self.l.indptr[idx + 1]
-        counts = ends - starts
-        if counts.sum() == 0:
-            self.x[idx] = self.b[idx] / self.diag[idx]
-            return
-        flat = np.concatenate([np.arange(s, e) for s, e in zip(starts, ends)])
-        local = np.repeat(np.arange(idx.shape[0]), counts)
-        cols = self.l.indices[flat]
-        vals = self.l.data[flat]
-        strict = cols < idx[local]
-        contrib = np.bincount(
-            local[strict], weights=vals[strict] * self.x[cols[strict]],
-            minlength=idx.shape[0],
-        )
-        self.x[idx] = (self.b[idx] - contrib) / self.diag[idx]
+        # Rows in a batch are independent, so every operand x[j] is
+        # already final.
+        self.x[idx] = _stored_order_rows(
+            self.l, idx, self.b[idx], self.x, np.less) / self.diag[idx]
 
     def result(self) -> np.ndarray:
         return self.x
@@ -281,25 +275,37 @@ class UpperTriangularSolveKernel(LoopKernel):
         if idx.size == 0:
             return
         rows = self.n - 1 - idx
-        starts = self.u.indptr[rows]
-        ends = self.u.indptr[rows + 1]
-        counts = ends - starts
-        if counts.sum() == 0:
-            self.x[rows] = self.b[rows] / self.diag[rows]
-            return
-        flat = np.concatenate([np.arange(s, e) for s, e in zip(starts, ends)])
-        local = np.repeat(np.arange(rows.shape[0]), counts)
-        cols = self.u.indices[flat]
-        vals = self.u.data[flat]
-        strict = cols > rows[local]
-        contrib = np.bincount(
-            local[strict], weights=vals[strict] * self.x[cols[strict]],
-            minlength=rows.shape[0],
-        )
-        self.x[rows] = (self.b[rows] - contrib) / self.diag[rows]
+        self.x[rows] = _stored_order_rows(
+            self.u, rows, self.b[rows], self.x, np.greater) / self.diag[rows]
 
     def result(self) -> np.ndarray:
         return self.x
+
+    def result_slots(self, elements: np.ndarray) -> np.ndarray:
+        """Iteration ``k`` writes row ``n-1-k``: map elements to rows."""
+        return self.n - 1 - elements
+
+
+def _stored_order_rows(m: CSRMatrix, rows: np.ndarray, acc: np.ndarray,
+                       x: np.ndarray, strict) -> np.ndarray:
+    """Subtract ``m[r, j] * x[j]`` from ``acc`` for each row ``r`` of ``rows``.
+
+    Only entries with ``strict(j, r)`` count.  One pass per stored
+    slot (the ``t``-th stored entry of every row at once), so each row
+    subtracts its terms in stored order — the order of the one-row
+    ``execute_index`` loop, and hence bitwise equal to it.  At most
+    max-row-length passes.
+    """
+    starts = m.indptr[rows]
+    counts = m.indptr[rows + 1] - starts
+    for t in range(int(counts.max(initial=0))):
+        live = np.flatnonzero(counts > t)
+        p = starts[live] + t
+        cols = m.indices[p]
+        keep = strict(cols, rows[live])
+        live = live[keep]
+        acc[live] -= m.data[p[keep]] * x[cols[keep]]
+    return acc
 
 
 class SerialExecutor:

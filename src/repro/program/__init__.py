@@ -5,9 +5,11 @@ iteration reads and writes (:class:`At` descriptors, the ``from_*``
 convenience constructors, or :meth:`LoopProgram.record`'s trace
 recorder), and the :class:`LoopProgram` owns dependence extraction and
 kernel binding.  Compiling a program through
-:class:`~repro.runtime.Runtime` returns a :class:`BoundLoop`, whose
-:meth:`~BoundLoop.rebind` swaps data arrays with zero inspector work —
-the paper's amortisation argument made first-class.
+:class:`~repro.runtime.Runtime` returns a
+:class:`~repro.runtime.CompiledLoop` (also exported here as
+:data:`BoundLoop`) whose :meth:`~repro.runtime.CompiledLoop.rebind`
+swaps data arrays with zero inspector work — the paper's amortisation
+argument made first-class.
 """
 
 from .binding import BoundLoop, LoopProgram

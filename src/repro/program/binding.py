@@ -6,8 +6,8 @@ derived.  :class:`LoopProgram` makes that the API: declare ``n``, the
 reads and writes (:class:`~repro.program.descriptors.At` descriptors),
 and the kernel, and the program owns dependence extraction and kernel
 binding.  Compiling through a :class:`~repro.runtime.Runtime` yields a
-:class:`BoundLoop` — a :class:`~repro.runtime.CompiledLoop` whose
-kernel is already attached::
+:class:`~repro.runtime.CompiledLoop` (also exported as
+:data:`BoundLoop`) with the program and its kernel already attached::
 
     prog = LoopProgram.from_indirection(ia, x=x0, b=b)
     loop = rt.compile(prog)          # schedule + kernel, bound
@@ -470,67 +470,6 @@ class LoopProgram:
                 f"bound={self.kernel is not None})")
 
 
-class BoundLoop(CompiledLoop):
-    """A compiled loop with its program and kernel attached.
-
-    Everything a :class:`~repro.runtime.CompiledLoop` does, plus:
-    calling it with no kernel runs the program's own, and
-    :meth:`rebind` swaps data without touching the inspector.
-    """
-
-    def __init__(self, *args, program: LoopProgram, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.program = program
-        #: Data-only rebinds served without any inspector work.
-        self.rebinds = 0
-
-    def rebind(self, **arrays) -> "BoundLoop":
-        """Swap data arrays; recompile only if the structure changed.
-
-        Pure data swaps (anything that is not an index source, or index
-        sources whose values are unchanged) mutate this loop in place —
-        zero inspector work, zero cache traffic — and return ``self``.
-        A rebind that actually changes an index array returns a *new*
-        :class:`BoundLoop` compiled under the same strategy (or a fresh
-        ``strategy="auto"`` verdict when this loop was tuned).
-
-        Always use the return value (``loop = loop.rebind(...)``): it
-        is the loop bound to the new data in both cases, so callers
-        never run a stale schedule by accident.
-
-        Programs that bound a ready-made kernel *instance* cannot be
-        rebound — the instance's captured arrays are out of reach, so
-        honouring the call would silently keep executing the old data.
-        Declare the kernel as a factory (``kernel=lambda **data: ...``)
-        to make a program rebindable.
-        """
-        if arrays and not self.program.rebindable:
-            raise ValidationError(
-                "this program binds a ready-made kernel instance, so "
-                "rebound data could never reach execution; declare the "
-                "kernel as a factory (kernel=lambda **data: ...) to "
-                "make the program rebindable"
-            )
-        program = self.program.with_data(**arrays)
-        structural = set(arrays) & self.program.structural_names()
-        if structural and program.structure_hash() != self.program.structure_hash():
-            if self.verdict is not None:
-                return self.runtime.compile(program, strategy="auto")
-            return self.runtime.compile(
-                program,
-                executor=self.executor_name,
-                scheduler=self.scheduler_name,
-                assignment=self.assignment,
-                balance=self.balance,
-            )
-        self.program = program
-        self.bound_kernel = program.make_kernel()
-        self.rebinds += 1
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        label = f" {self.program.name!r}" if self.program.name else ""
-        return (f"BoundLoop({label and label + ', '}n={self.dep.n}, "
-                f"executor={self.executor_name!r}, "
-                f"scheduler={self.inspection.strategy!r}, "
-                f"rebinds={self.rebinds})")
+#: A program-compiled loop is a plain :class:`~repro.runtime.CompiledLoop`
+#: with ``program`` set; this name is kept for the public API.
+BoundLoop = CompiledLoop

@@ -33,10 +33,10 @@ persistent :class:`~repro.tuning.TuningStore`.
 
 Both :meth:`Runtime.compile` and :meth:`Runtime.run` accept a
 :class:`~repro.program.LoopProgram` anywhere they accept raw
-dependence data; compiling a program returns a
-:class:`~repro.program.BoundLoop` with the program's kernel already
-attached (``loop()`` executes it, ``loop.rebind(...)`` swaps data
-without re-inspection).
+dependence data; compiling a program returns the same
+:class:`CompiledLoop` with the program's kernel already attached
+(``loop()`` executes it, ``loop.rebind(...)`` swaps data without
+re-inspection).
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from ..observe.observer import Observer
 from ..observe.tracer import maybe_span, now
 from ..resilience.faults import FaultPlan
 from ..resilience.recovery import RetryPolicy, run_with_recovery
+from ..speculate import loop as _speculation
 from ..util.timing import Stopwatch
 from ..util.validation import check_positive
 from . import backends as _backends  # noqa: F401 — registers the built-ins
@@ -149,26 +150,33 @@ class RunReport:
 class CompiledLoop:
     """A reusable, inspected loop: schedule fixed, executions cheap.
 
-    Produced by :meth:`Runtime.compile`; call it with a kernel to
-    execute (``loop(kernel)``), optionally overriding the session's
-    backend per call (``loop(kernel, backend="processes")``).  Loops
-    compiled from a :class:`~repro.program.LoopProgram` carry a
-    pre-bound kernel, so ``loop()`` alone executes.
+    The one loop object :meth:`Runtime.compile` returns, whatever the
+    route: raw dependence data, a :class:`~repro.program.LoopProgram`
+    (``program`` set, its kernel pre-bound so ``loop()`` alone
+    executes, and :meth:`rebind` swapping data), or
+    ``strategy="speculative"`` (a speculative executor whose adaptive
+    guard may demote the loop to the classic pipeline).  Call it with a
+    kernel to execute (``loop(kernel)``), optionally overriding the
+    session's backend per call (``loop(kernel, backend="processes")``).
     """
 
     def __init__(self, runtime: "Runtime", inspection, *, executor_name: str,
                  scheduler_name: str, assignment: str, executor,
                  cache_hit: bool, compile_count: int, verdict=None,
-                 balance: str = "wrapped", bound_kernel=None):
+                 balance: str = "wrapped", program=None):
         self.runtime = runtime
         self.inspection = inspection
         self.executor_name = executor_name
         self.scheduler_name = scheduler_name
         self.assignment = assignment
         self.balance = balance
-        #: Kernel attached at compile time (``LoopProgram`` compiles);
-        #: ``loop()`` with no kernel argument executes it.
-        self.bound_kernel = bound_kernel
+        #: The :class:`~repro.program.LoopProgram` this loop was
+        #: compiled from (``None`` for raw dependence data).
+        self.program = program
+        #: Kernel bound from the program; ``loop()`` with no kernel
+        #: argument executes it.
+        self.bound_kernel = (program.make_kernel() if program is not None
+                             else None)
         #: The executor object (self-executing / pre-scheduled / …).
         self.executor = executor
         #: Whether this compile was served from the ScheduleCache.
@@ -180,6 +188,11 @@ class CompiledLoop:
         self.verdict = verdict
         #: Executions through this object.
         self.executions = 0
+        #: Data-only rebinds served without any inspector work.
+        self.rebinds = 0
+        #: Classic replacement of a speculative loop the adaptive guard
+        #: demoted; calls and rebinds forward to it from then on.
+        self._fallback_loop = None
         self._default_sim: SimResult | None = None
 
     # ------------------------------------------------------------------
@@ -203,23 +216,30 @@ class CompiledLoop:
     def costs(self) -> MachineCosts:
         return self.runtime.costs
 
+    @property
+    def _speculative(self) -> bool:
+        return getattr(self.executor, "mode", None) == "speculative"
+
     #: Graceful degradation: when a parallel backend's execution fails
     #: or times out, ``Runtime(recovery=...)`` retries down this chain
-    #: (speculative loops substitute the classic pipeline instead).
+    #: (speculative loops degrade to the classic pipeline instead).
     _DEGRADATION = {"threads": ("serial",), "processes": ("serial",)}
 
     def _tier_label(self, name: str) -> str:
-        """Display label of the first recovery tier (backend name here;
-        speculative loops override it)."""
-        return name
+        """Display label of the first recovery tier."""
+        return "speculative" if self._speculative else name
 
     def _fallback_tiers(self, name: str):
         """Down-tier chain as ``(label, backend, loop_thunk)`` triples.
 
-        ``loop_thunk=None`` reuses this loop on the fallback backend;
-        speculative loops return a thunk that lazily compiles the
-        classic pipeline.
+        ``loop_thunk=None`` reuses this loop on the fallback backend.
+        A failed speculative attempt degrades to the classic pipeline
+        on the serial backend, compiled on demand: a transient fault
+        must not demote the loop for good.
         """
+        if self._speculative:
+            return [("classic", "serial",
+                     lambda: _speculation.compile_classic(self))]
         return [(b, b, None) for b in self._DEGRADATION.get(name, ())]
 
     # ------------------------------------------------------------------
@@ -247,6 +267,10 @@ class CompiledLoop:
         and timeouts retry down the degradation chain and the report
         carries ``report.recovery``.
         """
+        if self._fallback_loop is not None:
+            return self._fallback_loop(kernel, backend=backend,
+                                       unit_work=unit_work, timeout=timeout,
+                                       with_sim=with_sim)
         if not timeout > 0:
             raise ValidationError("timeout must be positive (wall seconds)")
         if kernel is None:
@@ -314,6 +338,8 @@ class CompiledLoop:
             # Execute-only window; :meth:`Runtime.run` widens this to
             # the full compile→execute breakdown.
             report.phases = obs.phase_breakdown(mark, now() - t0)
+        if self._speculative:
+            _speculation.adaptive_guard(self, report)
         return report
 
     #: Named alias for the call protocol.
@@ -362,11 +388,69 @@ class CompiledLoop:
             ),
         }
 
+    def rebind(self, **arrays) -> "CompiledLoop":
+        """Swap data arrays; recompile only if the structure changed.
+
+        Pure data swaps (anything that is not an index source, or index
+        sources whose values are unchanged) mutate this loop in place —
+        zero inspector work, zero cache traffic — and return ``self``.
+        A rebind that actually changes an index array returns a *new*
+        loop compiled under the same strategy (or a fresh
+        ``strategy="auto"`` verdict when this loop was tuned).  A
+        demoted speculative loop forwards the rebind to its classic
+        replacement and returns ``self``.
+
+        Always use the return value (``loop = loop.rebind(...)``): it
+        is the loop bound to the new data in both cases, so callers
+        never run a stale schedule by accident.
+
+        Only loops compiled from a :class:`~repro.program.LoopProgram`
+        can be rebound, and only when the program's kernel is a factory
+        (``kernel=lambda **data: ...``): a ready-made kernel
+        *instance*'s captured arrays are out of reach, so honouring the
+        call would silently keep executing the old data.
+        """
+        if self.program is None:
+            raise ValidationError(
+                "only loops compiled from a LoopProgram can be rebound; "
+                "this loop was compiled from raw dependence data, so pass "
+                "a kernel over the new data per call instead"
+            )
+        if self._fallback_loop is not None:
+            self._fallback_loop = self._fallback_loop.rebind(**arrays)
+            self.program = self._fallback_loop.program
+            return self
+        if arrays and not self.program.rebindable:
+            raise ValidationError(
+                "this program binds a ready-made kernel instance, so "
+                "rebound data could never reach execution; declare the "
+                "kernel as a factory (kernel=lambda **data: ...) to "
+                "make the program rebindable"
+            )
+        program = self.program.with_data(**arrays)
+        structural = set(arrays) & self.program.structural_names()
+        if structural and program.structure_hash() != self.program.structure_hash():
+            if self.verdict is not None:
+                return self.runtime.compile(program, strategy="auto")
+            return self.runtime.compile(
+                program,
+                executor=self.executor_name,
+                scheduler=self.scheduler_name,
+                assignment=self.assignment,
+                balance=self.balance,
+            )
+        self.program = program
+        self.bound_kernel = program.make_kernel()
+        self.rebinds += 1
+        return self
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"CompiledLoop(n={self.dep.n}, nproc={self.nproc}, "
+        name = self.program.name if self.program is not None else None
+        label = f"{name!r}, " if name else ""
+        return (f"CompiledLoop({label}n={self.dep.n}, nproc={self.nproc}, "
                 f"executor={self.executor_name!r}, "
                 f"scheduler={self.inspection.strategy!r}, "
-                f"cache_hit={self.cache_hit})")
+                f"cache_hit={self.cache_hit}, rebinds={self.rebinds})")
 
 
 class Runtime:
@@ -598,9 +682,10 @@ class Runtime:
         up front against the registries, through the session's
         strategy memo.
 
-        Compiling a program returns a
-        :class:`~repro.program.BoundLoop` with the program's kernel
-        attached; anything else returns a plain :class:`CompiledLoop`.
+        Every route returns a :class:`CompiledLoop` (compiling a
+        program attaches the program and its kernel), except a tuned
+        program whose winning variant is transformed, which returns a
+        :class:`~repro.program.transform.TransformedLoop` of them.
 
         ``strategy="auto"`` hands the choice of all four strategy
         strings to the tuner (:meth:`tune`): the session's
@@ -638,7 +723,7 @@ class Runtime:
         verdict = None
         if strategy is not None:
             if strategy == "speculative":
-                return self._compile_speculative(deps)
+                return _speculation.compile_speculative(self, deps)
             if strategy != "auto":
                 raise ValidationError(
                     f"unknown strategy {strategy!r}; valid options are: "
@@ -665,8 +750,9 @@ class Runtime:
         # assignment/balance strings are meaningless and ignored).
         if (executor in executor_registry
                 and executor_registry.metadata(executor).get("speculative")):
-            return self._compile_speculative(
-                program if program is not None else deps, verdict=verdict,
+            return _speculation.compile_speculative(
+                self, program if program is not None else deps,
+                verdict=verdict,
             )
         resolved = self._resolve_strategy(executor, scheduler,
                                           assignment, balance)
@@ -692,19 +778,13 @@ class Runtime:
         executor_obj = executor_registry.get(executor)(
             inspection, self.nproc, self.costs,
         )
-        common = dict(
-            executor_name=executor, scheduler_name=scheduler,
-            assignment=assignment, balance=balance, executor=executor_obj,
-            cache_hit=cache_hit,
-            compile_count=self._count_compile(key),
-            verdict=verdict,
+        return CompiledLoop(
+            self, inspection, executor_name=executor,
+            scheduler_name=scheduler, assignment=assignment,
+            balance=balance, executor=executor_obj, cache_hit=cache_hit,
+            compile_count=self._count_compile(key), verdict=verdict,
+            program=program,
         )
-        if program is None:
-            return CompiledLoop(self, inspection, **common)
-        from ..program.binding import BoundLoop  # deferred: import cycle
-
-        return BoundLoop(self, inspection, program=program,
-                         bound_kernel=program.make_kernel(), **common)
 
     # ------------------------------------------------------------------
     def _count_compile(self, key: str) -> int:
@@ -714,19 +794,6 @@ class Runtime:
         while len(self._compile_counts) > self._compile_counts_max:
             self._compile_counts.popitem(last=False)
         return self._compile_counts[key]
-
-    def _compile_speculative(self, deps, verdict=None):
-        """The ``strategy="speculative"`` fast path — no inspection.
-
-        Builds an access log straight from the dependence source and
-        binds a :class:`~repro.speculate.SpeculativeExecutor`; the
-        session's ``TuningStore`` is consulted first, so a structure
-        whose adaptive guard already fell back compiles the classic
-        pipeline immediately.
-        """
-        from ..speculate.loop import compile_speculative  # deferred: cycle
-
-        return compile_speculative(self, deps, verdict=verdict)
 
     def _compile_program_auto(self, program):
         """``strategy="auto"`` over program variants × strategies.

@@ -13,8 +13,9 @@ a schedule because it never runs an inspection.  One execution is
    (:func:`~repro.speculate.shadow.scan_accesses`) flags the violated
    iterations;
 4. **repair** — restore the elements the violated closure wrote back
-   to the checkpoint and re-execute exactly those iterations serially,
-   in index order.
+   to the checkpoint (at the result positions the kernel stores them
+   in, :meth:`~repro.core.executor.LoopKernel.result_slots`) and
+   re-execute exactly those iterations serially, in index order.
 
 The repair is sound because a non-violated iteration, by construction,
 read nothing any in-range iteration writes (or read it through the
@@ -277,7 +278,8 @@ class SpeculativeExecutor:
         if plan.repair_indices.size:
             with maybe_span(obs, "speculate.repair",
                             re_executed=int(plan.repair_indices.size)):
-                x[plan.restore_elements] = base[plan.restore_elements]
+                slots = kernel.result_slots(plan.restore_elements)
+                x[slots] = base[slots]
                 for i in plan.repair_indices:
                     kernel.execute_index(int(i))
         self.last_conflicts = dataclasses.replace(plan.report)

@@ -6,21 +6,25 @@
 dependence source (a program's declared accesses, or an
 inspector-normalized graph — never a wavefront sweep, never a sort),
 wraps a :class:`~repro.speculate.executor.SpeculativeExecutor`, and
-returns a :class:`SpeculativeLoop` (or :class:`SpeculativeBoundLoop`
-for programs, so ``rebind`` keeps working — a value rebind reuses the
-cached speculation plan for free).
+returns a plain :class:`~repro.runtime.session.CompiledLoop` (with the
+program attached for programs, so ``rebind`` keeps working — a value
+rebind reuses the cached speculation plan for free).
 
-The **adaptive guard** lives in the loop's call path: every execution
-attaches its :class:`~repro.speculate.executor.ConflictReport` to the
+The **adaptive guard** (:func:`adaptive_guard`) runs after every
+execution of a loop whose executor speculates.  It attaches the
+:class:`~repro.speculate.executor.ConflictReport` to the
 :class:`~repro.runtime.session.RunReport`, and when the measured
-conflict rate reaches :data:`~repro.speculate.executor.FALLBACK_THRESHOLD`
-the loop recompiles itself through the classic inspector/executor
-pipeline for all future calls (the triggering run is already correct —
-speculation repairs before it reports).  The verdict is persisted in
-the session's :class:`~repro.tuning.TuningStore` under
-:func:`speculation_key`, so the *next* session skips speculation for
-that structure without ever re-measuring it; a low-conflict success is
-recorded the same way, purely as a diagnostic breadcrumb.
+conflict rate reaches the structure's break-even rate
+(:meth:`~repro.speculate.executor.SpeculativeExecutor.break_even_rate`,
+priced from the machine model and the session's
+``expected_executions`` horizon) it demotes the loop: the classic
+inspector/executor pipeline serves all future calls and rebinds (the
+triggering run is already correct — speculation repairs before it
+reports).  The verdict is persisted in the session's
+:class:`~repro.tuning.TuningStore` under :func:`speculation_key`, so
+the *next* session skips speculation for that structure without ever
+re-measuring it; a low-conflict success is recorded the same way,
+purely as a diagnostic breadcrumb.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from .executor import SpeculativeExecutor
 from .shadow import AccessLog
 
 __all__ = [
-    "SpeculativeLoop",
-    "SpeculativeBoundLoop",
+    "adaptive_guard",
+    "compile_classic",
     "compile_speculative",
     "speculation_key",
 ]
@@ -67,17 +71,25 @@ class _SpeculativeInspection:
     Satisfies everything a compiled loop reads from its inspection —
     with ``pipeline_cost`` 0 (nothing was inspected) and the
     dependence graph materialized lazily, only if a caller actually
-    asks for ``loop.dep`` (diagnostics); execution never does.
+    asks for ``loop.dep`` (diagnostics); execution never does.  It
+    also carries the adaptive guard's per-structure state.
     """
 
     strategy = "speculative"
 
-    def __init__(self, source, log: AccessLog, schedule,
-                 host_seconds: float = 0.0):
-        self._source = source
+    def __init__(self, source, log: AccessLog, schedule, *, store_key: str,
+                 fallback_threshold: float, host_seconds: float = 0.0):
+        #: The dependence source the loop was compiled from.
+        self.source = source
         self.log = log
         self.schedule = schedule
         self.host_seconds = host_seconds
+        #: TuningStore key of this structure's speculation verdict.
+        self.store_key = store_key
+        #: Conflict rate at which the guard abandons speculation.
+        self.fallback_threshold = fallback_threshold
+        #: Whether a verdict for this structure was stored already.
+        self.verdict_recorded = False
         self._dep = None
 
     @property
@@ -97,131 +109,72 @@ class _SpeculativeInspection:
         if self._dep is None:
             from ..core.inspector import Inspector  # deferred: cycle
 
-            self._dep = Inspector.dependences_of(self._source)
+            self._dep = Inspector.dependences_of(self.source)
         return self._dep
 
 
-class _SpeculativeCallMixin:
-    """The guard + reporting shared by both speculative loop classes."""
+def adaptive_guard(loop, report) -> None:
+    """The adaptive guard, run after every speculative execution.
 
-    def _init_speculation(self, source, store_key: str,
-                          fallback_threshold: float) -> None:
-        self._source = source
-        self._store_key = store_key
-        self.fallback_threshold = fallback_threshold
-        self._fallback_loop = None
-        self._verdict_recorded = False
-        #: Classic pipeline compiled lazily by the *recovery* chain —
-        #: distinct from ``_fallback_loop`` (the adaptive guard's
-        #: permanent demotion): a transiently injected/crashed attempt
-        #: must not cost future calls their speculative fast path.
-        self._recovery_loop = None
-
-    # ------------------------------------------------------------------
-    # Recovery-chain hooks (see repro.resilience.recovery)
-    # ------------------------------------------------------------------
-    def _tier_label(self, name: str) -> str:
-        return "speculative"
-
-    def _fallback_tiers(self, name: str):
-        # A failed speculative attempt degrades to the classic
-        # inspector/executor pipeline on the serial backend — the
-        # kernel restarts from start(), so the result is the no-fault
-        # oracle's, bitwise.
-        def classic():
-            if self._recovery_loop is None:
-                self._recovery_loop = self._compile_fallback()
-            return self._recovery_loop
-
-        return [("classic", "serial", classic)]
-
-    # ------------------------------------------------------------------
-    def __call__(self, kernel=None, *, backend=None, unit_work=None,
-                 timeout: float = 30.0, with_sim: bool = True):
-        if self._fallback_loop is not None:
-            return self._fallback_loop(kernel, backend=backend,
-                                       unit_work=unit_work,
-                                       timeout=timeout, with_sim=with_sim)
-        self.executor.last_conflicts = None
-        report = super().__call__(kernel, backend=backend,
-                                  unit_work=unit_work, timeout=timeout,
-                                  with_sim=with_sim)
-        conflicts = self.executor.last_conflicts
-        if conflicts is not None:  # timing-only backends never ran
-            report.speculation = conflicts
-            if conflicts.conflict_rate >= self.fallback_threshold:
-                conflicts.fell_back = True
-                self._record_verdict(conflicts, fallback=True)
-                self._fallback_loop = self._compile_fallback()
-            elif not self._verdict_recorded:
-                self._record_verdict(conflicts, fallback=False)
-            observer = self.runtime.observer
-            if observer is not None:
-                observer.record_speculation(conflicts)
-        return report
-
-    run = __call__
-
-    # ------------------------------------------------------------------
-    def _compile_fallback(self):
-        return self.runtime.compile(
-            self._source, executor="self", scheduler="local",
-            assignment="wrapped", balance="wrapped",
-        )
-
-    def _record_verdict(self, conflicts, *, fallback: bool) -> None:
-        self._verdict_recorded = True
-        store = self.runtime.tuning_store
-        if store is None:
-            return
-        from ..tuning.store import TuningVerdict  # deferred: cycle
-
-        sim = self.simulate()
-        if fallback:
-            spec = ("self", "local", "wrapped", "wrapped")
-        else:
-            spec = ("speculative", "identity", "wrapped", "wrapped")
-        store.put(self._store_key, TuningVerdict(
-            executor=spec[0], scheduler=spec[1], assignment=spec[2],
-            balance=spec[3],
-            sim_makespan=float(sim.total_time),
-            seq_time=float(sim.seq_time),
-            candidates=1, sims=1,
-            seed=conflicts.seed,
-            signature=(f"speculation:rate={conflicts.conflict_rate:.4f},"
-                       f"reexec={conflicts.re_executed},"
-                       f"fallback={fallback}"),
-        ))
-
-
-# CompiledLoop / BoundLoop are imported at module bottom to keep the
-# import order explicit: this module loads after repro.program.
-from ..runtime.session import CompiledLoop  # noqa: E402
-from ..program.binding import BoundLoop  # noqa: E402
-
-
-class SpeculativeLoop(_SpeculativeCallMixin, CompiledLoop):
-    """A compiled loop that speculates instead of inspecting."""
-
-
-class SpeculativeBoundLoop(_SpeculativeCallMixin, BoundLoop):
-    """Program-compiled speculative loop; ``rebind`` works as usual.
-
-    Data-only rebinds keep the cached speculation plan (the plan
-    depends on access structure, never on values); structural rebinds
-    recompile through the fast path like any other strategy.  Once the
-    guard has fallen back, rebinds are forwarded to the fallback loop.
+    Puts the run's :class:`~repro.speculate.executor.ConflictReport` on
+    ``report.speculation``.  When the measured conflict rate reaches the
+    structure's break-even threshold, it records the fallback verdict in
+    the session's :class:`~repro.tuning.TuningStore` and demotes
+    ``loop``: its classic replacement serves every later call and rebind
+    (the triggering run is already correct — speculation repairs before
+    it reports).  A low-conflict success is recorded once per
+    structure, purely as a diagnostic breadcrumb.
     """
+    conflicts = loop.executor.last_conflicts
+    if conflicts is None:  # timing-only backends never ran
+        return
+    loop.executor.last_conflicts = None
+    report.speculation = conflicts
+    spec = loop.inspection
+    if conflicts.conflict_rate >= spec.fallback_threshold:
+        conflicts.fell_back = True
+        _record_verdict(loop, conflicts, fallback=True)
+        loop._fallback_loop = compile_classic(loop)
+    elif not spec.verdict_recorded:
+        _record_verdict(loop, conflicts, fallback=False)
+    observer = loop.runtime.observer
+    if observer is not None:
+        observer.record_speculation(conflicts)
 
-    def rebind(self, **arrays):
-        if self._fallback_loop is not None:
-            self._fallback_loop = self._fallback_loop.rebind(**arrays)
-            self.program = self._fallback_loop.program
-            return self
-        loop = super().rebind(**arrays)
-        if loop is self:
-            self._source = self.program
-        return loop
+
+def compile_classic(loop):
+    """``loop``'s source through the classic self/local pipeline."""
+    source = loop.program
+    if source is None:
+        source = loop.inspection.source
+    return loop.runtime.compile(
+        source, executor="self", scheduler="local",
+        assignment="wrapped", balance="wrapped",
+    )
+
+
+def _record_verdict(loop, conflicts, *, fallback: bool) -> None:
+    spec = loop.inspection
+    spec.verdict_recorded = True
+    store = loop.runtime.tuning_store
+    if store is None:
+        return
+    from ..tuning.store import TuningVerdict  # deferred: cycle
+
+    sim = loop.simulate()
+    executor, scheduler = (("self", "local") if fallback
+                           else ("speculative", "identity"))
+    store.put(spec.store_key, TuningVerdict(
+        executor=executor, scheduler=scheduler,
+        assignment="wrapped", balance="wrapped",
+        sim_makespan=float(sim.total_time),
+        seq_time=float(sim.seq_time),
+        candidates=1, sims=1,
+        seed=conflicts.seed,
+        signature=(f"speculation:rate={conflicts.conflict_rate:.4f},"
+                   f"reexec={conflicts.re_executed},"
+                   f"fallback={fallback}"),
+    ))
 
 
 def compile_speculative(runtime, deps, *, verdict=None):
@@ -231,6 +184,8 @@ def compile_speculative(runtime, deps, *, verdict=None):
     remembered fallback verdict for this structure compiles the classic
     pipeline immediately (no speculation, no re-measuring).
     """
+    from ..runtime.session import CompiledLoop  # deferred: cycle
+
     sw = Stopwatch().start()
     program = deps if getattr(deps, "__loop_program__", False) else None
     log = AccessLog.from_source(deps)
@@ -244,26 +199,21 @@ def compile_speculative(runtime, deps, *, verdict=None):
                                    seed=runtime.tune_seed,
                                    observer=runtime.observer)
     sw.stop()
-    inspection = _SpeculativeInspection(deps, log, executor.schedule,
-                                        host_seconds=sw.elapsed)
-    common = dict(
-        executor_name="speculative", scheduler_name="identity",
-        assignment="wrapped", balance="wrapped", executor=executor,
-        cache_hit=False, compile_count=runtime._count_compile(key),
-        verdict=verdict,
-    )
-    if program is None:
-        loop = SpeculativeLoop(runtime, inspection, **common)
-    else:
-        loop = SpeculativeBoundLoop(runtime, inspection, program=program,
-                                    bound_kernel=program.make_kernel(),
-                                    **common)
     # The guard threshold is priced per structure from the machine
     # model, amortising the avoided inspection over the session's
-    # expected execution horizon (the ceiling is the legacy constant).
-    loop._init_speculation(deps, key, executor.break_even_rate(
-        getattr(runtime, "expected_executions", None)))
-    return loop
+    # expected execution horizon (the ceiling is FALLBACK_THRESHOLD).
+    inspection = _SpeculativeInspection(
+        deps, log, executor.schedule, store_key=key,
+        fallback_threshold=executor.break_even_rate(
+            runtime.expected_executions),
+        host_seconds=sw.elapsed)
+    return CompiledLoop(
+        runtime, inspection, executor_name="speculative",
+        scheduler_name="identity", assignment="wrapped", balance="wrapped",
+        executor=executor, cache_hit=False,
+        compile_count=runtime._count_compile(key), verdict=verdict,
+        program=program,
+    )
 
 
 @register_backend("speculative")

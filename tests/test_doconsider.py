@@ -72,7 +72,7 @@ class TestReusableLoop:
         x0, b, ia, oracle = case
         loop = DoconsiderLoop(ia, nproc=3, executor="self")
         np.testing.assert_allclose(
-            loop.run_threaded(SimpleLoopKernel(x0, b, ia)), oracle,
+            loop(SimpleLoopKernel(x0, b, ia), backend="threads").x, oracle,
         )
 
     def test_schedule_and_dep_exposed(self, case):

@@ -179,6 +179,36 @@ class TestTriangularKernel:
         with pytest.raises(ValidationError):
             TriangularSolveKernel(l, np.zeros(l.nrows), diag=np.zeros(l.nrows))
 
+    def test_batch_keeps_stored_order_on_ilu_factors(self):
+        # Over every wavefront of the 5-PT ILU(0) factors, the batched
+        # path must equal the one-row path bitwise (stored-order sums,
+        # not a reordered segment sum).
+        from repro.core.dependence import DependenceGraph
+        from repro.core.executor import UpperTriangularSolveKernel
+        from repro.krylov.ilu import ILUFactorization, numeric_ilu
+        from repro.mesh.problems import get_problem
+
+        f = ILUFactorization.from_lu(
+            numeric_ilu(get_problem("5-PT", scale=0.2).a))
+        b = np.random.default_rng(3).standard_normal(f.u.nrows)
+        for make, dep in (
+            (lambda: TriangularSolveKernel(f.l_strict, b,
+                                           unit_diagonal=True),
+             DependenceGraph.from_lower_csr(f.l_strict)),
+            (lambda: UpperTriangularSolveKernel(f.u, b, diag=f.u_diag),
+             DependenceGraph.from_upper_csr(f.u)),
+        ):
+            batched, single = make(), make()
+            batched.start()
+            single.start()
+            wf = compute_wavefronts(dep)
+            for w in range(int(wf.max()) + 1):
+                members = np.flatnonzero(wf == w)
+                batched.execute_batch(members)
+                for i in members:
+                    single.execute_index(int(i))
+                assert np.array_equal(batched.result(), single.result())
+
 
 class TestGenericKernel:
     def test_body_and_setup(self):

@@ -725,7 +725,7 @@ class TestBreakEvenRate:
             log = AccessLog.from_program(prog)
             want = SpeculativeExecutor(
                 log, rt.nproc, rt.costs).break_even_rate(E)
-            assert loop.fallback_threshold == pytest.approx(want)
+            assert loop.inspection.fallback_threshold == pytest.approx(want)
 
     def test_high_conflict_still_falls_back(self):
         # An all-backward chain has conflict rate ~1 >> any clamped
@@ -739,4 +739,5 @@ class TestBreakEvenRate:
         loop = rt.compile(prog, strategy="speculative")
         report = loop()
         assert report.speculation.fell_back
-        assert report.speculation.conflict_rate >= loop.fallback_threshold
+        assert (report.speculation.conflict_rate
+                >= loop.inspection.fallback_threshold)

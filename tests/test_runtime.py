@@ -452,3 +452,64 @@ class TestParameterizedAssignments:
         out = doconsider(SimpleLoopKernel(x0, b, ia), deps=ia, nproc=4,
                          scheduler="local", assignment="chunked:2")
         np.testing.assert_allclose(out.x, oracle)
+
+
+class TestOneLoopClass:
+    """Every compile route returns the one ``CompiledLoop`` class."""
+
+    def test_every_route_returns_compiled_loop(self, case):
+        from repro.program import LoopProgram
+        from repro.runtime import CompiledLoop
+
+        x0, b, ia, _ = case
+        rt = Runtime(nproc=4)
+        prog = LoopProgram.from_indirection(ia, x=x0, b=b)
+        loops = {
+            "raw": rt.compile(ia),
+            "program": rt.compile(prog),
+            "speculative-raw": rt.compile(ia, strategy="speculative"),
+            "speculative-program": rt.compile(prog, strategy="speculative"),
+            "doconsider": DoconsiderLoop(ia, nproc=4),
+        }
+        for route, loop in loops.items():
+            assert type(loop) is CompiledLoop, route
+
+    def test_bound_loop_is_compiled_loop(self):
+        import repro
+        from repro.program import BoundLoop
+        from repro.runtime import CompiledLoop
+
+        assert BoundLoop is CompiledLoop
+        assert repro.BoundLoop is repro.CompiledLoop
+
+    def test_raw_loop_rebind_is_a_typed_error(self, case):
+        _, _, ia, _ = case
+        loop = Runtime(nproc=2).compile(ia)
+        with pytest.raises(ValidationError, match="LoopProgram"):
+            loop.rebind(x=np.ones(len(ia)))
+
+    def test_doconsider_returns_the_run_report(self, case):
+        from repro.runtime import RunReport
+
+        x0, b, ia, oracle = case
+        rep = doconsider(SimpleLoopKernel(x0, b, ia), deps=ia, nproc=2)
+        assert isinstance(rep, RunReport)
+        assert np.array_equal(rep.x, oracle)
+        assert rep.executor == "self"
+
+    def test_demoted_raw_speculative_loop_forwards(self):
+        # A raw (program-less) loop demotes to the classic pipeline
+        # compiled from its own dependence source.
+        n = 60
+        rng = np.random.default_rng(5)
+        x0, b = rng.standard_normal(n), rng.standard_normal(n)
+        ia = np.maximum(np.arange(n) - 1, 0)
+        oracle = SerialExecutor().run(SimpleLoopKernel(x0, b, ia))
+        loop = Runtime(nproc=4).compile(ia, strategy="speculative")
+        first = loop(SimpleLoopKernel(x0, b, ia))
+        assert first.speculation.fell_back
+        assert np.array_equal(first.x, oracle)
+        later = loop(SimpleLoopKernel(x0, b, ia), backend="threads")
+        assert later.executor == "self"
+        assert later.speculation is None
+        assert np.array_equal(later.x, oracle)

@@ -317,6 +317,27 @@ class TestRuntimeIntegration:
         want = serial_simple(ia, x2, prog.data["b"])
         assert np.array_equal(r.x, want)
 
+    def test_first_upper_solve_call_is_bitwise_serial(self):
+        # The upper kernel stores iteration k in row n-1-k: the repair
+        # must restore the rows the optimistic attempt wrote, or the
+        # first (speculative) call returns wrong values.
+        from repro.core.executor import UpperTriangularSolveKernel
+        from repro.krylov.ilu import ILUFactorization, numeric_ilu
+        from repro.mesh.problems import get_problem
+
+        f = ILUFactorization.from_lu(
+            numeric_ilu(get_problem("5-PT", scale=0.2).a))
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            b = rng.standard_normal(f.u.nrows)
+            want = SerialExecutor().run(
+                UpperTriangularSolveKernel(f.u, b, diag=f.u_diag))
+            prog = LoopProgram.from_csr(f.u, b, lower=False, diag=f.u_diag)
+            first = Runtime(nproc=4).compile(prog, strategy="speculative")()
+            assert first.speculation is not None
+            assert first.speculation.re_executed > 0
+            assert np.array_equal(first.x, want)
+
     def test_speculative_backend(self):
         n = 100
         prog = self.make_prog(np.arange(n))
