@@ -14,12 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..machine.costs import MachineCosts, MULTIMAX_320
-from ..machine.simulator import SimResult, simulate_self_executing
-from ..machine.threads import ThreadedMachine
 from ..runtime.registry import register_executor
 from .dependence import DependenceGraph
-from .executor import LoopKernel
-from .schedule import Schedule, identity_schedule
+from .schedule import identity_schedule
+from .self_executing import SelfExecutingExecutor
 
 __all__ = ["DoacrossExecutor"]
 
@@ -37,7 +35,7 @@ def _build_doacross(inspection, nproc, costs):
     )
 
 
-class DoacrossExecutor:
+class DoacrossExecutor(SelfExecutingExecutor):
     """Busy-wait execution in original index order (wrapped ownership)."""
 
     mode = "doacross"
@@ -47,29 +45,11 @@ class DoacrossExecutor:
                  wavefronts: np.ndarray | None = None):
         from .wavefront import compute_wavefronts  # deferred: module order
 
-        self.dep = dep
-        self.costs = costs
         wf = wavefronts if wavefronts is not None else compute_wavefronts(dep)
-        self.schedule: Schedule = identity_schedule(wf, nproc)
+        super().__init__(identity_schedule(wf, nproc), dep, costs)
 
-    def run(self, kernel: LoopKernel) -> np.ndarray:
-        """Numeric execution — original order is legal for backward deps."""
-        kernel.start()
-        for i in range(kernel.n):
-            kernel.execute_index(i)
-        return kernel.result()
-
-    def simulate(self, *, unit_work: np.ndarray | None = None) -> SimResult:
-        return simulate_self_executing(
-            self.schedule, self.dep, self.costs,
-            mode="doacross", unit_work=unit_work,
-        )
-
-    def run_threaded(self, kernel: LoopKernel, *, timeout: float = 30.0,
-                     timeline=None, faults=None) -> np.ndarray:
-        kernel.start()
-        machine = ThreadedMachine(self.schedule.nproc, timeout=timeout,
-                                  faults=faults)
-        machine.run_self_executing(kernel, self.schedule, self.dep,
-                                   timeline=timeline)
-        return kernel.result()
+    def execution_order(self) -> np.ndarray:
+        """Original order — legal because every dependence is backward."""
+        if self._order is None:
+            self._order = np.arange(self.dep.n, dtype=np.int64)
+        return self._order

@@ -8,7 +8,9 @@ consecutive wavefronts overlap in a pipeline whenever the dependences
 allow — the effect behind the robustness results of Section 5.1.4.
 
 Three engines (numeric / simulated timing / real threads), mirroring
-:class:`~repro.core.prescheduled.PreScheduledExecutor`.
+:class:`~repro.core.prescheduled.PreScheduledExecutor`; the doacross
+baseline (:class:`~repro.core.doacross.DoacrossExecutor`) is this
+executor over the identity schedule.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class SelfExecutingExecutor:
         """Machine-model timing of this schedule."""
         return simulate_self_executing(
             self.schedule, self.dep, self.costs,
-            mode="self", unit_work=unit_work,
+            mode=self.mode, unit_work=unit_work,
             keep_finish_times=keep_finish_times,
         )
 

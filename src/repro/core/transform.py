@@ -30,8 +30,22 @@ temporaries — if an index expression depends on the written array the
 loop is not start-time schedulable (that is the paper's ``dodynamic``
 territory) and :class:`~repro.errors.TransformError` is raised.
 
-Everything the transformer emits is real, runnable Python source —
-inspect it via :attr:`ParallelizedLoop.inspector_source` etc.
+Everything the transformer emits is real Python source — inspect it via
+:attr:`ParallelizedLoop.inspector_source` etc.; those sources are the
+artefact.  Execution goes through the one runtime pipeline: the
+generated inspector's output is a dependence graph for
+:meth:`Runtime.compile <repro.runtime.Runtime.compile>`, and
+:meth:`ParallelizedLoop.kernel` wraps the generated executor body as the
+kernel every executor and backend runs::
+
+    rt = Runtime(nproc=4)
+    loop = rt.compile(pl.dependence_graph(*args), executor="self")
+    x = loop(pl.kernel(*args), backend="threads").x
+
+so the transformed loop gets the schedule cache, ``strategy="auto"``,
+observation, recovery and the threads backend's watchdog like any other
+loop.  :meth:`ParallelizedLoop.run` is that composition on a fresh
+session.
 """
 
 from __future__ import annotations
@@ -39,13 +53,13 @@ from __future__ import annotations
 import ast
 import inspect as _inspect
 import textwrap
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DeadlockError, TransformError
+from ..errors import TransformError
 from .dependence import DependenceGraph
+from .executor import LoopKernel
 
 __all__ = ["parallelize", "parallelize_source", "ParallelizedLoop"]
 
@@ -336,7 +350,7 @@ def _emit_body(info: _LoopInfo, *, self_executing: bool, indent: str) -> list[st
 
 
 def _emit_inspector(info: _LoopInfo) -> str:
-    """Inspector source: evaluates index expressions, collects deps."""
+    """The inspector's source: evaluates index expressions, collects deps."""
     p = ", ".join(info.params)
     rng = ", ".join(info.range_args)
     i = info.loop_var
@@ -461,32 +475,51 @@ def _emit_prescheduled_executor(info: _LoopInfo) -> str:
 
 
 # ----------------------------------------------------------------------
-# Runtime support for generated code
+# Lowering onto the runtime
 # ----------------------------------------------------------------------
 
-def _make_wait(timeout: float = 30.0):
-    """The ``__wait__`` helper injected into generated executors."""
+class _GeneratedKernel(LoopKernel):
+    """A :class:`~repro.core.executor.LoopKernel` over the generated code.
 
-    def __wait__(ready, j):
-        deadline = time.monotonic() + timeout
-        spins = 0
-        while not ready[j]:
-            spins += 1
-            if spins % 64 == 0:
-                time.sleep(0)
-                if time.monotonic() > deadline:
-                    raise DeadlockError(f"generated executor: wait on {j} timed out")
+    One iteration is the generated pre-scheduled executor (Figure 5)
+    run over the one-element schedule ``[i]``; a batch of independent
+    iterations is the same executor over the batch.  ``__old__`` is the
+    Figure 4 copy of the input, so forward references read original
+    values in any legal order.
+    """
 
-    return __wait__
+    def __init__(self, executor, args: list, widx: int, n: int):
+        self.n = n
+        self._executor = executor
+        self._args = args
+        self._widx = widx
+        self._old = np.array(args[widx], dtype=np.float64, copy=True)
+        self._work: np.ndarray | None = None
+        self._tail: tuple = ()
+
+    def start(self) -> None:
+        self._work = self._old.copy()
+        self._args[self._widx] = self._work
+        self._tail = (None, self._old, *self._args)
+
+    def execute_index(self, i: int) -> None:
+        self._executor([i], *self._tail)
+
+    def execute_batch(self, idx: np.ndarray) -> None:
+        self._executor(np.asarray(idx).tolist(), *self._tail)
+
+    def result(self) -> np.ndarray:
+        return self._work
 
 
 @dataclass
 class ParallelizedLoop:
     """Compiled output of the automated transformation.
 
-    Attributes expose the *generated sources* (inspect them!) and
-    compiled callables; :meth:`run` drives the whole pipeline: generated
-    inspector → wavefronts → schedule → generated executor.
+    The *generated sources* are the artefact (inspect them!).  Execution
+    goes through :class:`~repro.runtime.Runtime`: the generated
+    inspector's output is the dependence graph to compile, and
+    :meth:`kernel` is the generated executor body to run on it.
     """
 
     info: _LoopInfo = field(repr=False)
@@ -497,11 +530,10 @@ class ParallelizedLoop:
     original_source: str = field(repr=False)
 
     def __post_init__(self):
-        ns: dict = {"__wait__": _make_wait()}
+        ns: dict = {}
         for src in (
             self.inspector_source,
             self.wavefront_source,
-            self.self_executor_source,
             self.prescheduled_executor_source,
             self.original_source,
         ):
@@ -509,7 +541,6 @@ class ParallelizedLoop:
         self._ns = ns
         self.inspector = ns["__inspector__"]
         self.wavefront = ns["__wavefront__"]
-        self.self_executor = ns["__self_executor__"]
         self.prescheduled_executor = ns["__presched_executor__"]
         self.original = ns[self.info.func_name]
 
@@ -531,6 +562,24 @@ class ParallelizedLoop:
         )
         return DependenceGraph(indptr, flat, n, check_acyclic=False)
 
+    def kernel(self, *args) -> LoopKernel:
+        """The loop body over ``args`` as a kernel for the runtime.
+
+        ``args`` are the original function's arguments, in order.  The
+        kernel works on a copy of the written array (the argument is
+        never mutated) and its ``n`` is the iteration count.
+        """
+        params = self.info.params
+        if len(args) != len(params):
+            raise TransformError(
+                f"{self.info.func_name} expects {len(params)} arguments"
+            )
+        n = eval(  # noqa: S307 - the loop's own range expression
+            f"len(range({self.info.range_args[0]}))", self._ns,
+            dict(zip(params, args)))
+        return _GeneratedKernel(self.prescheduled_executor, list(args),
+                                params.index(self.info.written), n)
+
     def run(
         self,
         *args,
@@ -541,70 +590,21 @@ class ParallelizedLoop:
     ) -> np.ndarray:
         """Execute the transformed loop; returns the written array.
 
-        ``args`` are the original function's arguments, in order.  The
-        written array argument is *not* mutated; a working copy is
-        returned.  ``threaded=True`` runs one real thread per processor
-        (true concurrency, GIL-interleaved); the default emulates the
-        parallel execution deterministically.
+        Shorthand for compiling :meth:`dependence_graph` on a fresh
+        ``Runtime(nproc=nproc)`` and running :meth:`kernel` on it —
+        ``threaded=True`` on the ``threads`` backend (one real thread
+        per processor), otherwise on ``serial``.  Compose the two calls
+        on your own :class:`~repro.runtime.Runtime` for its cache,
+        ``strategy="auto"``, observation or recovery.
         """
-        from .inspector import Inspector  # deferred: load-order hygiene
-        from ..machine.threads import ThreadedMachine
+        from ..runtime import Runtime  # deferred: the runtime imports core
 
-        params = self.info.params
-        if len(args) != len(params):
-            raise TransformError(
-                f"{self.info.func_name} expects {len(params)} arguments"
-            )
-        args = list(args)
-        widx = params.index(self.info.written)
-        work = np.array(args[widx], dtype=np.float64, copy=True)
-        old = work.copy()
-        args[widx] = work
-
-        dep = self.dependence_graph(*args)
-        strategy = "identity" if executor == "doacross" else scheduler
-        res = Inspector().inspect(dep, nproc, strategy=strategy)
-        schedule = res.schedule
-
-        if executor in ("self", "doacross"):
-            if threaded:
-                machine = ThreadedMachine(nproc)
-                ready = bytearray(dep.n)
-                per_proc = [
-                    (list(map(int, schedule.local_order[p])), ready, old, *args)
-                    for p in range(nproc)
-                ]
-                machine._launch(self.self_executor, per_proc)
-            else:
-                from ..machine.simulator import toposort_plan
-
-                order = toposort_plan(schedule, dep)
-                ready = bytearray(dep.n)
-                self.self_executor(list(map(int, order)), ready, old, *args)
-        elif executor == "preschedule":
-            phases = schedule.phases()
-            if threaded:
-                import threading
-
-                barrier = threading.Barrier(nproc)
-                per_proc = []
-                for p in range(nproc):
-                    sched: list[int] = []
-                    for w in range(len(phases)):
-                        sched.extend(map(int, phases[w][p]))
-                        sched.append(NEWPHASE)
-                    per_proc.append((sched, barrier.wait, old, *args))
-                ThreadedMachine(nproc)._launch(self.prescheduled_executor, per_proc)
-            else:
-                sched = []
-                for phase in phases:
-                    for lst in phase:
-                        sched.extend(map(int, lst))
-                    sched.append(NEWPHASE)
-                self.prescheduled_executor(sched, lambda: None, old, *args)
-        else:
-            raise TransformError(f"unknown executor {executor!r}")
-        return work
+        kernel = self.kernel(*args)
+        loop = Runtime(nproc=nproc).compile(
+            self.dependence_graph(*args), executor=executor,
+            scheduler=scheduler)
+        backend = "threads" if threaded else "serial"
+        return loop(kernel, backend=backend, with_sim=False).x
 
     def run_original(self, *args) -> np.ndarray:
         """Execute the untransformed loop (oracle)."""

@@ -102,7 +102,6 @@ class ThreadedMachine:
         self._abort = threading.Event()
         self._abort_cause: list = [None]
         self._progress = [0] * self.nproc
-        self._prepared = True
         return self._abort
 
     def _cancel_injected_stalls(self) -> None:
@@ -126,11 +125,6 @@ class ThreadedMachine:
             return
 
     def _launch(self, target, per_proc_args) -> None:
-        # Direct callers (the source transformer) skip the run_*
-        # entry points; give each launch fresh per-run state.
-        if not getattr(self, "_prepared", False):
-            self._prepare()
-        self._prepared = False
         abort = self._abort
         errors: list[BaseException] = []
         lock = threading.Lock()

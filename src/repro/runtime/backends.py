@@ -1,10 +1,12 @@
-"""Execution backends — one protocol over the divergent run paths.
+"""Execution backends — one protocol over the executors' run paths.
 
-Historically each executor exposed three differently-shaped entry
-points (``run`` for numerics, ``simulate`` for machine-model timing,
-``run_threaded`` for real threads) and the process-based solvers lived
-in their own world.  :class:`ExecutionBackend` unifies them: a backend
-takes a :class:`~repro.runtime.session.CompiledLoop` plus a kernel and
+Each executor exposes three entry points (``run`` for numerics,
+``simulate`` for machine-model timing, ``run_threaded(kernel, *,
+timeout, timeline, faults)`` for real threads — one fixed signature,
+see :mod:`~repro.runtime.registry`) and the process-based solvers
+live in :mod:`repro.machine.processes`.  :class:`ExecutionBackend`
+unifies them: a backend takes a
+:class:`~repro.runtime.session.CompiledLoop` plus a kernel and
 returns the ``(numeric result, simulated timing)`` pair that
 :class:`~repro.runtime.session.RunReport` normalizes, so ::
 
@@ -33,7 +35,13 @@ Built-in backends
   protocol under true concurrency;
 * ``processes`` — genuinely parallel OS processes over POSIX shared
   memory; supports the sparse triangular-solve workload
-  (:class:`~repro.core.executor.TriangularSolveKernel`).
+  (:class:`~repro.core.executor.TriangularSolveKernel`) on an inspected
+  schedule, and rejects speculative loops and other kernels with a
+  :class:`~repro.errors.ValidationError` before any work starts.
+
+Loops from the source transformer (:mod:`repro.core.transform`) are
+ordinary compiled loops whose kernel runs generated code, so every
+backend serves them unchanged.
 """
 
 from __future__ import annotations
@@ -131,33 +139,18 @@ class ThreadsBackend(ExecutionBackend):
                 "thread-safe; run it on the 'serial' backend (or the "
                 "'sim' backend for timing only)"
             )
-        run_threaded = compiled.executor.run_threaded
-        observer = getattr(compiled.runtime, "observer", None)
-        faults = getattr(compiled.runtime, "faults", None)
-        kwargs = {"timeout": timeout}
-        if faults is not None:
-            import inspect
-
-            # Custom executors may predate the fault protocol; only
-            # the ones that accept the kwarg get the plan (their
-            # watchdog then honors injected timeouts and stall
-            # cancellation).
-            if "faults" in inspect.signature(run_threaded).parameters:
-                kwargs["faults"] = faults
-        if observer is not None:
-            import inspect
-
+        runtime = compiled.runtime
+        recorder = None
+        if runtime.observer is not None:
             from ..observe.export import TimelineRecorder
 
-            # Custom executors may predate the timeline protocol; only
-            # the ones that accept the kwarg get a recorder.
-            if "timeline" in inspect.signature(run_threaded).parameters:
-                recorder = TimelineRecorder(compiled.nproc)
-                x = run_threaded(kernel, timeline=recorder, **kwargs)
-                #: Read by the session right after execute().
-                self.last_timeline = recorder.timeline()
-                return x, None
-        return run_threaded(kernel, **kwargs), None
+            recorder = TimelineRecorder(compiled.nproc)
+        x = compiled.executor.run_threaded(
+            kernel, timeout=timeout, timeline=recorder, faults=runtime.faults)
+        if recorder is not None:
+            #: Read by the session right after execute().
+            self.last_timeline = recorder.timeline()
+        return x, None
 
 
 @register_backend("processes")
@@ -180,6 +173,12 @@ class ProcessesBackend(ExecutionBackend):
         )
 
         self.check_kernel(kernel)
+        if compiled._speculative:
+            raise ValidationError(
+                "the speculative executor runs on the 'serial', "
+                "'speculative' or 'sim' backends; the 'processes' solvers "
+                "need an inspected schedule, which speculation never builds"
+            )
         if not isinstance(kernel, TriangularSolveKernel):
             raise ValidationError(
                 "the 'processes' backend supports TriangularSolveKernel "

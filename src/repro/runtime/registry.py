@@ -40,9 +40,17 @@ Registration contracts
 * **scheduler** — ``fn(wf, owner, nproc, *, balance, weights) ->
   Schedule``;
 * **executor** — ``fn(inspection, nproc, costs) -> executor`` where the
-  executor object provides ``run`` / ``simulate`` / ``run_threaded``
-  and a ``schedule`` attribute.  Metadata ``scheduler_override`` names
-  a scheduler the executor forces (``doacross`` forces ``identity``);
+  executor object has a ``schedule`` attribute and three methods:
+  ``run(kernel) -> x`` (serial backend), ``simulate(*, unit_work=None)
+  -> SimResult`` (machine model) and exactly
+  ``run_threaded(kernel, *, timeout=30.0, timeline=None, faults=None)
+  -> x`` (threads backend, which always passes all three keywords:
+  the wall-clock ``timeout``, an optional
+  :class:`~repro.observe.TimelineRecorder` and an optional
+  :class:`~repro.resilience.FaultPlan`; an executor with no threads
+  protocol raises :class:`~repro.errors.ValidationError` there).
+  Metadata ``scheduler_override`` names a scheduler the executor
+  forces (``doacross`` forces ``identity``);
 * **backend** — an :class:`~repro.runtime.backends.ExecutionBackend`
   subclass (instantiable with no arguments).
 """

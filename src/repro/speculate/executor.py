@@ -285,7 +285,8 @@ class SpeculativeExecutor:
         self.last_conflicts = dataclasses.replace(plan.report)
         return kernel.result()
 
-    def run_threaded(self, kernel, *, timeout: float = 30.0):
+    def run_threaded(self, kernel, *, timeout: float = 30.0, timeline=None,
+                     faults=None):
         raise ValidationError(
             "the speculative executor runs on the 'serial', "
             "'speculative' or 'sim' backends; the 'threads' protocol "

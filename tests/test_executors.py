@@ -154,6 +154,16 @@ class TestDoacross:
         sim = DoacrossExecutor(dep, 4).simulate()
         assert sim.sched_time == 0.0
 
+    def test_is_self_executing_over_the_identity_schedule(self, simple_case):
+        """Doacross keeps only its constructor and original order; the
+        engines are the self-executing executor's."""
+        _, _, _, dep, _ = simple_case
+        ex = DoacrossExecutor(dep, 4)
+        assert isinstance(ex, SelfExecutingExecutor)
+        assert not {"run", "simulate", "run_threaded"} & set(vars(DoacrossExecutor))
+        np.testing.assert_array_equal(ex.execution_order(), np.arange(dep.n))
+        assert ex.simulate().mode == "doacross"
+
 
 class TestTriangularKernel:
     def test_all_executors_match_levelsolver(self, mesh_lower):

@@ -157,6 +157,31 @@ class TestBackends:
         with pytest.raises(ValidationError, match="TriangularSolveKernel"):
             loop(SimpleLoopKernel(x0, b, ia), backend="processes")
 
+    def test_processes_backend_rejects_speculative_loops(self):
+        """Typed up-front rejection, not an AttributeError from the
+        speculative executor's schedule stand-in."""
+        from repro.program import LoopProgram
+
+        l = random_lower_triangular(60, avg_off_diag=2.0, seed=5)
+        b = np.random.default_rng(6).standard_normal(60)
+        loop = Runtime(nproc=2).compile(LoopProgram.from_csr(l, b),
+                                        strategy="speculative")
+        with pytest.raises(ValidationError, match="'processes'"):
+            loop(backend="processes")
+
+    def test_every_executor_speaks_one_threads_protocol(self):
+        import inspect
+
+        from repro.speculate import SpeculativeExecutor
+
+        for cls in (SelfExecutingExecutor, PreScheduledExecutor,
+                    DoacrossExecutor, SpeculativeExecutor):
+            params = inspect.signature(cls.run_threaded).parameters
+            assert list(params) == ["self", "kernel", "timeout", "timeline",
+                                    "faults"], cls.__name__
+            assert all(params[k].kind is inspect.Parameter.KEYWORD_ONLY
+                       for k in ("timeout", "timeline", "faults"))
+
     def test_unknown_backend_enumerates_options(self, case):
         _, _, ia, _ = case
         with pytest.raises(ValidationError, match="valid options are"):

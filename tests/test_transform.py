@@ -36,14 +36,7 @@ def simple_loop():
 
 @pytest.fixture(scope="module")
 def simple_args():
-    rng = np.random.default_rng(41)
-    n = 60
-    return (
-        rng.standard_normal(n),
-        rng.standard_normal(n),
-        rng.integers(0, n, size=n),
-        n,
-    )
+    return _simple_args()
 
 
 class TestAnalysis:
@@ -163,33 +156,14 @@ class TestExecutionEquivalence:
 
     def test_nested(self):
         pl = parallelize_source(NESTED_SRC)
-        rng = np.random.default_rng(42)
-        n, m = 40, 3
-        args = (
-            rng.standard_normal(n),
-            0.2 * rng.standard_normal(n),
-            rng.integers(0, n, size=(n, m)),
-            n, m,
-        )
+        args = _nested_args()
         ref = pl.run_original(*args)
         np.testing.assert_allclose(pl.run(*args, nproc=4), ref)
 
     def test_csr_figure8(self):
         """The Figure 8 triangular-solve loop, ija-format."""
         pl = parallelize_source(CSR_SRC)
-        from repro.sparse.build import random_lower_triangular
-        L = random_lower_triangular(40, avg_off_diag=2, seed=3)
-        n = 40
-        rows = L.row_of_nnz()
-        strict = L.indices < rows
-        counts = np.bincount(rows[strict], minlength=n)
-        ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
-        ptr += n + 1
-        ija = np.concatenate([ptr, L.indices[strict]])
-        a = np.concatenate([np.zeros(n + 1), L.data[strict]])
-        rhs = np.random.default_rng(4).standard_normal(n)
-        args = (np.zeros(n), rhs, a, ija, n)
+        args = _csr_args()
         ref = pl.run_original(*args)
         np.testing.assert_allclose(pl.run(*args, nproc=4), ref)
         np.testing.assert_allclose(
@@ -200,6 +174,115 @@ class TestExecutionEquivalence:
         x = simple_args[0].copy()
         simple_loop.run(*simple_args, nproc=2)
         np.testing.assert_array_equal(simple_args[0], x)
+
+
+def _csr_args(n=40, seed=3):
+    """Figure 8 arguments: a random lower factor in ``ija`` format."""
+    from repro.sparse.build import random_lower_triangular
+    L = random_lower_triangular(n, avg_off_diag=2, seed=seed)
+    rows = L.row_of_nnz()
+    strict = L.indices < rows
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[strict], minlength=n), out=ptr[1:])
+    ija = np.concatenate([ptr + n + 1, L.indices[strict]])
+    a = np.concatenate([np.zeros(n + 1), L.data[strict]])
+    rhs = np.random.default_rng(seed + 1).standard_normal(n)
+    return (np.zeros(n), rhs, a, ija, n)
+
+
+def _nested_args(n=40, m=3, seed=42):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(n), 0.2 * rng.standard_normal(n),
+            rng.integers(0, n, size=(n, m)), n, m)
+
+
+def _simple_args(n=60, seed=41):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(n), rng.standard_normal(n),
+            rng.integers(0, n, size=n), n)
+
+
+MATRIX_SOURCES = {
+    "figure3": (SIMPLE_SRC, _simple_args),
+    "figure6-nested": (NESTED_SRC, _nested_args),
+    "figure8-csr": (CSR_SRC, _csr_args),
+}
+
+
+class TestRuntimeEquivalenceMatrix:
+    """``run`` goes through ``Runtime``: bitwise equal to the original
+    loop for every executor, serial and threaded, on all three loop
+    shapes of the paper."""
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    @pytest.mark.parametrize("executor", ["self", "preschedule", "doacross"])
+    @pytest.mark.parametrize("source", sorted(MATRIX_SOURCES))
+    def test_bitwise_equal_to_original(self, source, executor, threaded):
+        src, make_args = MATRIX_SOURCES[source]
+        pl = parallelize_source(src)
+        args = make_args()
+        got = pl.run(*args, nproc=3, executor=executor, threaded=threaded)
+        np.testing.assert_array_equal(got, pl.run_original(*args))
+
+
+class TestRuntimeSeam:
+    """The two-call composition on a caller's own ``Runtime``."""
+
+    def test_threaded_failure_reports_its_iteration_promptly(self):
+        import time
+
+        from repro.errors import ExecutionError
+
+        pl = parallelize_source(SIMPLE_SRC)
+        n = 400
+        b = [0.5] * n
+        b[5] = None  # the body raises TypeError at iteration 5
+        ia = np.maximum(np.arange(n) - 1, 0)
+        t0 = time.monotonic()
+        with pytest.raises(ExecutionError, match="iteration 5") as info:
+            pl.run(np.ones(n), b, ia, n, nproc=2, threaded=True)
+        assert info.value.iteration == 5
+        assert time.monotonic() - t0 < 5.0  # the watchdog timeout is 30 s
+
+    def test_recompiling_the_generated_graph_hits_the_cache(
+            self, simple_loop, simple_args):
+        from repro.runtime import Runtime
+
+        rt = Runtime(nproc=3)
+        first = rt.compile(simple_loop.dependence_graph(*simple_args))
+        again = rt.compile(simple_loop.dependence_graph(*simple_args))
+        assert not first.cache_hit
+        assert again.cache_hit
+        np.testing.assert_array_equal(
+            again(simple_loop.kernel(*simple_args)).x,
+            simple_loop.run_original(*simple_args))
+
+    def test_observed_session_reports_phases(self, simple_loop, simple_args):
+        from repro.runtime import Runtime
+
+        rt = Runtime(nproc=2, observe=True)
+        loop = rt.compile(simple_loop.dependence_graph(*simple_args))
+        report = loop(simple_loop.kernel(*simple_args), backend="threads")
+        assert report.phases is not None
+        assert report.phases.wall_seconds > 0.0
+        assert report.timeline is not None
+        np.testing.assert_array_equal(
+            report.x, simple_loop.run_original(*simple_args))
+
+    def test_kernel_n_is_the_iteration_count(self, simple_loop):
+        """The written array may be longer than the loop runs."""
+        rng = np.random.default_rng(8)
+        n = 30
+        args = (rng.standard_normal(n + 10), rng.standard_normal(n),
+                rng.integers(0, n, size=n), n)
+        kernel = simple_loop.kernel(*args)
+        assert kernel.n == n
+        np.testing.assert_array_equal(
+            simple_loop.run(*args, nproc=2), simple_loop.run_original(*args))
+
+    def test_kernel_checks_arity(self, simple_loop):
+        with pytest.raises(TransformError, match="expects 4 arguments"):
+            simple_loop.kernel(np.zeros(3))
 
 
 class TestGeneratedInspector:
